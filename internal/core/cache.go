@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -152,7 +154,7 @@ func (c *ntCache) Read(id uint32) ([]byte, error) {
 	}
 	// A read-only mount overlays the log's replayed sector images (kept in
 	// memory, never written home) before the CRC check: the mix of stale
-	// home sectors and replayed sectors is exactly the page applyNTImages
+	// home sectors and replayed sectors is exactly the page log replay
 	// would have produced on disk.
 	bufA = c.v.overlayNT(id, bufA)
 	okA := bufA != nil && (crcOK(bufA) || isVirgin(bufA))
@@ -206,7 +208,7 @@ func (v *Volume) overlayNT(id uint32, buf []byte) []byte {
 	var imgs [NTPageSectors][]byte
 	n := 0
 	for j := 0; j < NTPageSectors; j++ {
-		if img, ok := v.ntOverride[uint64(id)*NTPageSectors+uint64(j)]; ok {
+		if img, ok := v.ntOverride[ntTarget(id, j)]; ok {
 			imgs[j] = img
 			n++
 		}
@@ -278,7 +280,7 @@ func (c *ntCache) Write(id uint32, data []byte) error {
 		}
 		images = append(images, wal.PageImage{
 			Kind:   wal.KindNameTable,
-			Target: uint64(id)*NTPageSectors + uint64(j),
+			Target: ntTarget(id, j),
 			Data:   fresh[lo:hi],
 		})
 	}
@@ -360,61 +362,32 @@ func (c *ntCache) onLogged(target uint64, third int, data []byte) {
 func (c *ntCache) flushThird(third int) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	committed := c.v.log.Committed()
-	n := 0
+	imgs := make(map[uint64][]byte)
 	for _, p := range c.pages {
-		for j := 0; j < NTPageSectors; j++ {
-			if p.lastThird[j] != third {
-				continue
+		for j, t := range p.lastThird {
+			if t == third {
+				imgs[ntTarget(p.id, j)] = ntSector(p.logged, j)
 			}
-			if err := c.writeHomeSector(p.id, j, p.logged[j*disk.SectorSize:(j+1)*disk.SectorSize]); err != nil {
-				return n, err
+		}
+	}
+	w, err := c.v.writeNTHome(imgs)
+	c.homeWrites.Add(int64(w))
+	if err != nil {
+		return 0, err
+	}
+	committed := c.v.log.Committed()
+	for _, p := range c.pages {
+		for j, t := range p.lastThird {
+			if t == third {
+				p.lastThird[j] = -1
 			}
-			n++
-			p.lastThird[j] = -1
 		}
 		if !p.pendingLog(committed) && !p.inLog() && p.logged != nil && bytes.Equal(p.logged, p.cur) {
 			p.dirty = false
 			p.logged = nil
 		}
 	}
-	return n, nil
-}
-
-// writeHomeSector writes one sector of a page to both home copies. The
-// caller holds c.mu.
-func (c *ntCache) writeHomeSector(id uint32, sub int, data []byte) error {
-	addrA, addrB := c.v.lay.ntPageAddrs(id)
-	if err := c.v.writeSectors(addrA+sub, data); err != nil {
-		return err
-	}
-	c.homeWrites.Add(1)
-	if c.v.cfg.SingleCopyNT {
-		return nil
-	}
-	if err := c.v.writeSectors(addrB+sub, data); err != nil {
-		return err
-	}
-	c.homeWrites.Add(1)
-	return nil
-}
-
-// writeHome writes a page image to both home copies (two operations with
-// independent failure modes). The caller holds c.mu.
-func (c *ntCache) writeHome(id uint32, data []byte) error {
-	addrA, addrB := c.v.lay.ntPageAddrs(id)
-	if err := c.v.writeSectors(addrA, data); err != nil {
-		return err
-	}
-	c.homeWrites.Add(1)
-	if c.v.cfg.SingleCopyNT {
-		return nil
-	}
-	if err := c.v.writeSectors(addrB, data); err != nil {
-		return err
-	}
-	c.homeWrites.Add(1)
-	return nil
+	return len(imgs), nil
 }
 
 // flushAll writes home every dirty page; the caller must have forced the
@@ -422,21 +395,97 @@ func (c *ntCache) writeHome(id uint32, data []byte) error {
 func (c *ntCache) flushAll() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	imgs := make(map[uint64][]byte)
 	for _, p := range c.pages {
-		if !p.dirty {
-			continue
+		if p.dirty {
+			for j := 0; j < NTPageSectors; j++ {
+				imgs[ntTarget(p.id, j)] = ntSector(p.cur, j)
+			}
 		}
-		if err := c.writeHome(p.id, p.cur); err != nil {
-			return err
+	}
+	w, err := c.v.writeNTHome(imgs)
+	c.homeWrites.Add(int64(w))
+	if err != nil {
+		return err
+	}
+	for _, p := range c.pages {
+		if p.dirty {
+			p.dirty = false
+			p.pendingSeq = 0
+			for j := range p.lastThird {
+				p.lastThird[j] = -1
+			}
+			p.logged = nil
 		}
-		p.dirty = false
-		p.pendingSeq = 0
-		for j := range p.lastThird {
-			p.lastThird[j] = -1
-		}
-		p.logged = nil
 	}
 	return nil
+}
+
+// ntTarget is the index of sector sub of name-table page id within one home
+// copy: the Target the log records for that sector's images.
+func ntTarget(id uint32, sub int) uint64 {
+	return uint64(id)*NTPageSectors + uint64(sub)
+}
+
+// ntSector returns sector sub of a name-table page image.
+func ntSector(page []byte, sub int) []byte {
+	return page[sub*disk.SectorSize : (sub+1)*disk.SectorSize]
+}
+
+// writeNTHome writes name-table sector images, keyed by ntTarget, to the
+// home copies in one address-ordered sweep per copy: consecutive targets
+// merge into runs of at most MaxTransferSectors, and every run goes to copy
+// A in ascending order before any goes to copy B (skipped under
+// SingleCopyNT). The order inside the sweep is free: nothing relies on
+// these writes until a later Sync — the anchor advance after a third
+// flush, the log reset after replay, the clean stamp at shutdown — so until
+// then the log still holds every image, and a run torn by a crash is redone
+// exactly as a torn sector would be. It returns the sectors written,
+// counted per copy.
+func (v *Volume) writeNTHome(imgs map[uint64][]byte) (int, error) {
+	targets := sortedKeys(imgs)
+	type run struct {
+		start uint64
+		data  []byte
+	}
+	var runs []run
+	for i := 0; i < len(targets); {
+		j := i + 1
+		for j < len(targets) && j-i < MaxTransferSectors && targets[j] == targets[j-1]+1 {
+			j++
+		}
+		data := make([]byte, 0, (j-i)*disk.SectorSize)
+		for _, tgt := range targets[i:j] {
+			data = append(data, imgs[tgt]...)
+		}
+		runs = append(runs, run{targets[i], data})
+		i = j
+	}
+	bases := []int{v.lay.ntA, v.lay.ntB}
+	if v.cfg.SingleCopyNT {
+		bases = bases[:1]
+	}
+	n := 0
+	for _, base := range bases {
+		for _, r := range runs {
+			if err := v.writeSectors(base+int(r.start), r.data); err != nil {
+				return n, err
+			}
+			n += len(r.data) / disk.SectorSize
+		}
+	}
+	return n, nil
+}
+
+// sortedKeys returns m's keys in ascending order, so a loop writing m home
+// runs in address order rather than Go's randomized map order.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // dropAll empties the cache (after crash recovery rewrites home pages).

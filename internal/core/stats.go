@@ -13,7 +13,7 @@ import (
 type CacheStats struct {
 	Hits       int
 	Misses     int
-	HomeWrites int // sectors/pages written home (third flushes, shutdown)
+	HomeWrites int // name-table sectors written home by third flushes and shutdown, counted per copy
 	// Data holds the file-data buffer cache counters (internal/bufcache).
 	// All zero when the volume runs with the data cache disabled.
 	Data DataCacheStats

@@ -94,11 +94,12 @@ func (v *Volume) onVAMLogged(target uint64, third int, data []byte) {
 	s.third = third
 }
 
-// flushVAMSectors writes home logged bitmap sectors whose third is being
-// overwritten.
+// flushVAMSectors writes home, in ascending address order, the logged
+// bitmap sectors whose third is being overwritten.
 func (v *Volume) flushVAMSectors(third int) (int, error) {
 	n := 0
-	for idx, s := range v.vamSectors {
+	for _, idx := range sortedKeys(v.vamSectors) {
+		s := v.vamSectors[idx]
 		if s.third != third {
 			continue
 		}
@@ -115,12 +116,7 @@ func (v *Volume) flushVAMSectors(third int) (int, error) {
 // area and loads the result. It returns (vam, true) on success; on any
 // damage the caller falls back to reconstruction.
 func (v *Volume) recoverVAMFromLog(images map[int][]byte) (*vam.VAM, bool) {
-	idxs := make([]int, 0, len(images))
-	for s := range images {
-		idxs = append(idxs, s)
-	}
-	sort.Ints(idxs)
-	for _, s := range idxs {
+	for _, s := range sortedKeys(images) {
 		if err := v.writeSectors(v.lay.vamBase+1+s, images[s]); err != nil {
 			return nil, false
 		}

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -358,13 +357,14 @@ func (v *Volume) freeOnCommit(runs []alloc.Run) {
 	v.vmMu.Unlock()
 }
 
-// flushLeaders writes home pending leader pages last logged in third.
+// flushLeaders writes home, in ascending address order, the pending leader
+// pages last logged in third.
 func (v *Volume) flushLeaders(third int) (int, error) {
 	v.lmu.Lock()
 	defer v.lmu.Unlock()
 	n := 0
-	for addr, t := range v.leaderThird {
-		if t != third {
+	for _, addr := range sortedKeys(v.leaderThird) {
+		if v.leaderThird[addr] != third {
 			continue
 		}
 		data, ok := v.pendingLeaders[addr]
@@ -538,11 +538,12 @@ func mountWritable(d *disk.Disk, cfg Config) (*Volume, MountStats, error) {
 	// replays the very same images over whatever subset already landed.
 	//
 	// Images are buffered last-writer-wins and only the final image of
-	// each page touches the disk, in ascending address order — the redo
-	// pass is then a short sequential sweep over the hot name-table pages
-	// rather than a write per logged image. Leader images are additionally
-	// validated against the post-replay name table, so a leader image of a
-	// since-deleted file can never stomp a reallocated page.
+	// each sector touches the disk, in one address-ordered sweep per copy
+	// (writeNTHome) — a few coalesced transfers over the hot name-table
+	// pages rather than a write per logged image. Leader images are
+	// additionally validated against the post-replay name table, so a
+	// leader image of a since-deleted file can never stomp a reallocated
+	// page.
 	leaderImages := make(map[int][]byte)
 	ntImages := make(map[uint64][]byte)
 	vamImages := make(map[int][]byte)
@@ -562,7 +563,7 @@ func mountWritable(d *disk.Disk, cfg Config) (*Volume, MountStats, error) {
 	if err != nil {
 		return nil, ms, err
 	}
-	if err := v.applyNTImages(ntImages); err != nil {
+	if _, err := v.writeNTHome(ntImages); err != nil {
 		return nil, ms, err
 	}
 	ms.LogRecords = rs.Records
@@ -617,8 +618,10 @@ func mountWritable(d *disk.Disk, cfg Config) (*Volume, MountStats, error) {
 		return nil, ms, err
 	}
 
-	// Apply surviving leader images whose file still owns the sector.
-	for addr, img := range leaderImages {
+	// Apply surviving leader images whose file still owns the sector, in
+	// ascending address order.
+	for _, addr := range sortedKeys(leaderImages) {
+		img := leaderImages[addr]
 		uid, ok := leaderUID(img)
 		if !ok {
 			continue
@@ -697,73 +700,6 @@ func (v *Volume) finishMount() {
 	if v.Health() == HealthDegraded && !v.readOnly && !v.closed.Load() {
 		go func() { _, _ = v.Scrub() }()
 	}
-}
-
-// applyNTImages writes the surviving name-table images home. With
-// MountWorkers > 1 the writes fan out over a worker pool, each worker
-// sweeping a contiguous chunk of the sorted targets (pFSCK-style); the
-// simulated device still serializes the transfers, so on the virtual clock
-// the win is structural, but a real controller with command queuing would
-// overlap them. Sequential mode preserves the exact single-sweep order.
-func (v *Volume) applyNTImages(ntImages map[uint64][]byte) error {
-	ntTargets := make([]uint64, 0, len(ntImages))
-	for tgt := range ntImages {
-		ntTargets = append(ntTargets, tgt)
-	}
-	sort.Slice(ntTargets, func(i, j int) bool { return ntTargets[i] < ntTargets[j] })
-	writeOne := func(tgt uint64) error {
-		id := uint32(tgt / NTPageSectors)
-		sub := int(tgt % NTPageSectors)
-		a, b := v.lay.ntPageAddrs(id)
-		if err := v.writeSectors(a+sub, ntImages[tgt]); err != nil {
-			return err
-		}
-		if !v.cfg.SingleCopyNT {
-			if err := v.writeSectors(b+sub, ntImages[tgt]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	workers := v.cfg.mountWorkers()
-	if workers <= 1 || len(ntTargets) < 2*workers {
-		for _, tgt := range ntTargets {
-			if err := writeOne(tgt); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	chunk := (len(ntTargets) + workers - 1) / workers
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > len(ntTargets) {
-			hi = len(ntTargets)
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			for _, tgt := range ntTargets[lo:hi] {
-				if err := writeOne(tgt); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // scanForRebuild walks the whole name table once, optionally rebuilding the
@@ -1048,8 +984,8 @@ func (v *Volume) Shutdown() error {
 		return err
 	}
 	v.lmu.Lock()
-	for addr, data := range v.pendingLeaders {
-		if err := v.writeSectors(addr, data); err != nil {
+	for _, addr := range sortedKeys(v.pendingLeaders) {
+		if err := v.writeSectors(addr, v.pendingLeaders[addr]); err != nil {
 			v.lmu.Unlock()
 			return err
 		}
@@ -1114,8 +1050,8 @@ func (v *Volume) DropCaches() error {
 		return err
 	}
 	v.lmu.Lock()
-	for addr, data := range v.pendingLeaders {
-		if err := v.writeSectors(addr, data); err != nil {
+	for _, addr := range sortedKeys(v.pendingLeaders) {
+		if err := v.writeSectors(addr, v.pendingLeaders[addr]); err != nil {
 			v.lmu.Unlock()
 			return err
 		}

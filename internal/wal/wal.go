@@ -86,7 +86,7 @@ type Stats struct {
 	MinRecordSectors int
 	MaxRecordSectors int
 	ThirdCrossings   int
-	HomeFlushes      int // pages pushed home at third crossings
+	HomeFlushes      int // sector images the FlushHook reported written home
 }
 
 // Config parameterizes the log.
@@ -152,8 +152,9 @@ type Log struct {
 	cfg  Config
 
 	// FlushHook is invoked with the third index about to be overwritten;
-	// the client must write home every cached page whose newest logged
-	// image lives in that third, and report how many pages it wrote.
+	// the client must write home every cached sector whose newest logged
+	// image lives in that third, and report how many sector images it
+	// wrote (once each, however many home copies it keeps).
 	FlushHook func(third int) (int, error)
 	// OnCommit is invoked after every successful force with the commit
 	// sequence number that just became durable; FSD uses it to make the

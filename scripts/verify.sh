@@ -21,7 +21,7 @@ go vet ./...
 go build ./...
 go test ./...
 go test -race ./internal/core ./internal/wal ./internal/disk ./internal/bufcache ./internal/intentq ./internal/crashtest ./internal/server ./internal/wire ./client
-go test ./internal/core -count=1 -run 'TestCrashPointSweep|TestTornLogForceSweep|TestScrubRepairsLatentDecay|TestSalvageAfterDoubleNameTableLoss'
+go test ./internal/core -count=1 -run 'TestCrashPointSweep|TestTornLogForceSweep|TestScrubRepairsLatentDecay|TestSalvageAfterDoubleNameTableLoss|TestNTHomeSweep|TestHomeWriteOrderDeterministic|TestTornHomeRunRecovers'
 go test -race ./internal/core -count=1 -run 'TestScrubConcurrentWithReaders'
 # Seeded write-fault sweep (PR 7): retries/remaps/hung-I/O absorption and
 # the health FSM's graceful-degradation contract, plus the concurrent
@@ -49,6 +49,9 @@ go test -race ./internal/core -count=1 -run 'TestMountWhileScrubHammer|TestMount
 # one shared volume, a few seconds; asserts nothing here — the shape
 # checks live in go test ./cmd/benchtab — but must run to completion.
 go run ./cmd/benchtab -table tables
+# Recovery-table smoke (replay, VAM rebuild and VAM logging on crashed
+# simulated volumes): exercises the name-table home sweep in recovery redo.
+go run ./cmd/benchtab -table recovery
 # Data-path cache ablation smoke (cache on/off x read-ahead on/off over
 # sequential/random/re-read workloads); a few seconds on small windows.
 go run ./cmd/benchtab -table datapath
