@@ -128,9 +128,8 @@ func crcOK(p []byte) bool {
 	return binary.BigEndian.Uint32(p[ntCRCOff:]) == pageCRC(p)
 }
 
-// Read implements btree.Pager. On a miss both home copies are read and
-// checked, per the paper ("when a page is read, both copies are read and
-// checked"), unless the volume is configured to read one.
+// Read implements btree.Pager. A miss reads the home copies by the rules of
+// pickNT and caches the chosen image.
 func (c *ntCache) Read(id uint32) ([]byte, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -140,61 +139,81 @@ func (c *ntCache) Read(id uint32) ([]byte, error) {
 		c.seq++
 		p.lruSeq = c.seq
 		c.v.cpu.Charge(0) // navigation cost charged by callers per op
-		if !crcOK(p.cur) && !isVirgin(p.cur) {
-			return nil, fmt.Errorf("core: wild store detected in cached name-table page %d", id)
+		if err := checkCachedNT(id, p.cur); err != nil {
+			return nil, err
 		}
 		return p.cur, nil
 	}
 	c.misses.Add(1)
 	c.v.traceCache(false, id)
-	addrA, addrB := c.v.lay.ntPageAddrs(id)
-	bufA, errA := c.v.readSectorsRetry(addrA, NTPageSectors)
-	if errA != nil {
-		bufA = nil
-	}
-	// A read-only mount overlays the log's replayed sector images (kept in
-	// memory, never written home) before the CRC check: the mix of stale
-	// home sectors and replayed sectors is exactly the page log replay
-	// would have produced on disk.
-	bufA = c.v.overlayNT(id, bufA)
-	okA := bufA != nil && (crcOK(bufA) || isVirgin(bufA))
-	var bufB []byte
-	okB := false
-	if !c.v.cfg.ReadOneCopy && !c.v.cfg.SingleCopyNT {
-		var errB error
-		bufB, errB = c.v.readSectorsRetry(addrB, NTPageSectors)
-		if errB != nil {
-			bufB = nil
-		}
-		bufB = c.v.overlayNT(id, bufB)
-		okB = bufB != nil && (crcOK(bufB) || isVirgin(bufB))
-		c.v.cpu.Charge(2 * csumCost)
-	} else {
-		c.v.cpu.Charge(csumCost)
-	}
-	var data []byte
-	switch {
-	case okA:
-		data = bufA
-	case okB:
-		data = bufB
-	case c.v.cfg.ReadOneCopy && !c.v.cfg.SingleCopyNT:
-		// One-copy read mode falls back to the replica on damage.
-		bufB, errB := c.v.readSectorsRetry(addrB, NTPageSectors)
-		if errB != nil {
-			bufB = nil
-		}
-		bufB = c.v.overlayNT(id, bufB)
-		if bufB != nil && (crcOK(bufB) || isVirgin(bufB)) {
-			data = bufB
-		}
-	}
-	if data == nil {
-		return nil, fmt.Errorf("core: name-table page %d unreadable in all copies (A: %v)", id, errA)
+	data, err := c.v.readNTPage(id)
+	if err != nil {
+		return nil, err
 	}
 	p := newNTPage(id, data)
 	c.insert(p)
 	return p.cur, nil
+}
+
+// checkCachedNT catches a wild store into a cached page: cached pages stay
+// logically read-only between updates, so a bad CRC means something wrote
+// the buffer behind the cache's back.
+func checkCachedNT(id uint32, cur []byte) error {
+	if !crcOK(cur) && !isVirgin(cur) {
+		return fmt.Errorf("core: wild store detected in cached name-table page %d", id)
+	}
+	return nil
+}
+
+// readNTPage reads page id from its home copies, one request per copy, and
+// chooses between them by pickNT.
+func (v *Volume) readNTPage(id uint32) ([]byte, error) {
+	addrA, addrB := v.lay.ntPageAddrs(id)
+	bufA, errA := v.readSectorsRetry(addrA, NTPageSectors)
+	return v.pickNT(id, bufA, errA, func() ([]byte, error) {
+		return v.readSectorsRetry(addrB, NTPageSectors)
+	})
+}
+
+// pickNT chooses the image of name-table page id from its home copies:
+// copy A as read (bufA, errA), and copy B from readB, called at most once.
+// A read-only mount's replayed sectors are overlaid on each copy first —
+// the mix of stale home sectors and replayed sectors is exactly the page
+// log replay would have produced on disk — and a copy is usable when its
+// CRC checks or it is virgin. Copy A wins over copy B. Both copies are read
+// and checked, per the paper ("when a page is read, both copies are read
+// and checked"), unless the volume reads one (ReadOneCopy: B is read only
+// when A is unusable) or keeps one (SingleCopyNT: B is never read).
+func (v *Volume) pickNT(id uint32, bufA []byte, errA error, readB func() ([]byte, error)) ([]byte, error) {
+	usable := func(buf []byte, err error) []byte {
+		if err != nil {
+			buf = nil
+		}
+		buf = v.overlayNT(id, buf)
+		if buf != nil && (crcOK(buf) || isVirgin(buf)) {
+			return buf
+		}
+		return nil
+	}
+	a := usable(bufA, errA)
+	var b []byte
+	if v.cfg.bothNTCopies() {
+		b = usable(readB())
+		v.cpu.Charge(2 * csumCost)
+	} else {
+		v.cpu.Charge(csumCost)
+		if a == nil && !v.cfg.SingleCopyNT {
+			// One-copy read mode falls back to the replica on damage.
+			b = usable(readB())
+		}
+	}
+	switch {
+	case a != nil:
+		return a, nil
+	case b != nil:
+		return b, nil
+	}
+	return nil, fmt.Errorf("core: name-table page %d unreadable in all copies (A: %v)", id, errA)
 }
 
 // overlayNT applies the in-memory replayed sector images of page id (set
@@ -317,7 +336,12 @@ func (c *ntCache) insert(p *ntPage) {
 	if len(c.pages) <= c.cap {
 		return
 	}
-	committed := c.v.log.Committed()
+	// A read-only mount has no log, and none of its pages has anything
+	// staged: every page is committed.
+	var committed uint64
+	if c.v.log != nil {
+		committed = c.v.log.Committed()
+	}
 	var victim *ntPage
 	for _, q := range c.pages {
 		if q.dirty || q.pendingLog(committed) || q.inLog() || q == p {

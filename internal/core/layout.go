@@ -237,6 +237,10 @@ func (c Config) readAhead() int {
 	return c.ReadAhead
 }
 
+// bothNTCopies reports whether a name-table read reads and checks both home
+// copies, rather than one copy (with copy B as the ReadOneCopy fallback).
+func (c Config) bothNTCopies() bool { return !c.ReadOneCopy && !c.SingleCopyNT }
+
 func (c Config) readRetries() int {
 	if c.ReadRetries < 0 {
 		return 0

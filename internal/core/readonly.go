@@ -32,7 +32,8 @@ func MountReadOnly(d *disk.Disk, cfg Config) (*Volume, MountStats, error) {
 func mountReadOnly(d *disk.Disk, cfg Config) (*Volume, MountStats, error) {
 	var ms MountStats
 	start := d.Clock().Now()
-	root, err := readRoot(d)
+	readEarly, chargeEarly := earlyReader(d, cfg)
+	root, err := readRoot(readEarly)
 	if err != nil {
 		return nil, ms, err
 	}
@@ -45,6 +46,7 @@ func mountReadOnly(d *disk.Disk, cfg Config) (*Volume, MountStats, error) {
 	cfg.LogVAM = root.logVAM
 	v := newVolume(d, cfg, lay)
 	v.readOnly = true
+	chargeEarly(v)
 	ms.CleanShutdown = root.clean
 	ms.ReadOnly = true
 	// The uid chunk is not advanced on disk (nothing is written); bump it

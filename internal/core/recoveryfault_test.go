@@ -88,6 +88,25 @@ func TestRecoveryStatsSurfaced(t *testing.T) {
 // classification: Degraded (aggressive scrub scheduled) rather than a
 // silently Healthy mount.
 func TestMountUnderComposedFaults(t *testing.T) {
+	mountUnderComposedFaults(t, faultSeed(t))
+}
+
+// TestMountRetriesRootRead pins a seed whose fault pattern fails the first
+// read of both volume root copies. The root read retries each copy in place
+// like every other recovery read, so the mount survives and the retries are
+// charged to the volume's fault counters.
+func TestMountRetriesRootRead(t *testing.T) {
+	v := mountUnderComposedFaults(t, 1792254851448652604)
+	if st := v.Stats().Faults; st.ReadRetries == 0 {
+		t.Fatalf("no read retries counted: %+v", st)
+	}
+}
+
+// mountUnderComposedFaults crashes a volume, remounts it under the seeded
+// composed fault model, checks every committed file, and returns the volume
+// (crashed at cleanup).
+func mountUnderComposedFaults(t *testing.T, seed int64) *Volume {
+	t.Helper()
 	cfg := testConfig()
 	cfg.ReadRetries = 8
 	cfg.WriteRetries = 8
@@ -96,7 +115,7 @@ func TestMountUnderComposedFaults(t *testing.T) {
 
 	// Hot enough that the handful of recovery I/Os reliably draw faults.
 	d.InjectFaults(disk.FaultConfig{
-		Seed:           faultSeed(t),
+		Seed:           seed,
 		TransientRead:  0.2,
 		TransientWrite: 0.05,
 	})
@@ -127,7 +146,8 @@ func TestMountUnderComposedFaults(t *testing.T) {
 	if st.Health >= HealthOffline {
 		t.Fatalf("health %v after survivable faults", st.Health)
 	}
-	v.Crash()
+	t.Cleanup(v.Crash)
+	return v
 }
 
 // TestMountWhileScrubHammer mounts a Degraded volume (scrub auto-scheduled

@@ -885,7 +885,8 @@ func Salvage(d *disk.Disk, cfg Config) (*Volume, SalvageStats, error) {
 	var lay layout
 	uidChunk := uint64(1)
 	formatted := clk.Now()
-	if root, err := readRoot(d); err == nil {
+	readEarly, chargeEarly := earlyReader(d, cfg)
+	if root, err := readRoot(readEarly); err == nil {
 		lay = root.layout
 		cfg.LogVAM = root.logVAM
 		uidChunk = root.uidChunk
@@ -897,6 +898,7 @@ func Salvage(d *disk.Disk, cfg Config) (*Volume, SalvageStats, error) {
 		}
 	}
 	v := newVolume(d, cfg, lay)
+	chargeEarly(v)
 	r := &salvageRun{
 		v: v, d: d, lay: lay, cfg: cfg, st: &st,
 		seen:      make(map[int]bool),

@@ -232,19 +232,43 @@ func (v *Volume) scrubRoots(st *ScrubStats) {
 	}
 }
 
+// scrubNTChunk is how many name-table pages one optimistic sweep covers per
+// copy: the unit the scrub pool schedules, large enough that each copy is
+// read in full-size runs and small enough to keep both copies of a chunk in
+// memory per worker.
+const scrubNTChunk = 256
+
 // scrubNameTable cross-checks both home copies of every name-table page on
-// the shared parscan pool (one chunk per page, ScrubWorkers wide, work
-// stealing across pages whose repairs run long). Results merge per page in
-// page order, so the problem report is deterministic at any worker count.
-// Single-copy volumes have nothing to cross-check.
+// the shared parscan pool (one chunk of scrubNTChunk pages at a time,
+// ScrubWorkers wide, work stealing across chunks whose repairs run long).
+// Each chunk's optimistic first read is one sweep of copy A and one of copy
+// B. Results merge per chunk in page order, so the problem report is
+// deterministic at any worker count. Single-copy volumes have nothing to
+// cross-check.
 func (v *Volume) scrubNameTable(st *ScrubStats) error {
 	if v.cfg.SingleCopyNT {
 		return nil
 	}
-	ids := v.lay.ntPages
-	parts := make([]ScrubStats, ids)
-	if _, err := parscan.Run(v.cfg.scrubWorkers(), ids, func(_ *parscan.Worker, c int) error {
-		v.scrubNTPage(uint32(c), &parts[c])
+	chunks := (v.lay.ntPages + scrubNTChunk - 1) / scrubNTChunk
+	parts := make([]ScrubStats, chunks)
+	if _, err := parscan.Run(v.cfg.scrubWorkers(), chunks, func(_ *parscan.Worker, c int) error {
+		lo := c * scrubNTChunk
+		ids := make([]uint32, 0, scrubNTChunk)
+		for id := lo; id < lo+scrubNTChunk && id < v.lay.ntPages; id++ {
+			ids = append(ids, uint32(id))
+		}
+		type copyRead struct {
+			buf []byte
+			err error
+		}
+		copyA := make([]copyRead, len(ids))
+		v.sweepNTHome(v.lay.ntA, ids, func(id uint32, buf []byte, err error) {
+			copyA[int(id)-lo] = copyRead{buf, err}
+		})
+		v.sweepNTHome(v.lay.ntB, ids, func(id uint32, buf []byte, err error) {
+			a := copyA[int(id)-lo]
+			v.scrubNTPage(id, a.buf, a.err, buf, err, &parts[c])
+		})
 		return nil
 	}); err != nil {
 		return err
@@ -260,19 +284,17 @@ func ntCopyOK(buf []byte, err error) bool {
 	return err == nil && (crcOK(buf) || isVirgin(buf))
 }
 
-// scrubNTPage audits one page: optimistic read of both copies outside the
-// cache lock; on any anomaly, re-examine and repair under it, so no
-// concurrent home write can interleave with the repair.
-func (v *Volume) scrubNTPage(id uint32, st *ScrubStats) {
+// scrubNTPage audits one page from its optimistic read of both copies, made
+// outside the cache lock; on any anomaly, it re-examines and repairs under
+// it, so no concurrent home write can interleave with the repair.
+func (v *Volume) scrubNTPage(id uint32, bufA []byte, errA error, bufB []byte, errB error, st *ScrubStats) {
 	st.NTPagesChecked++
 	st.SectorsChecked += 2 * NTPageSectors
-	addrA, addrB := v.lay.ntPageAddrs(id)
-	bufA, errA := v.readSectorsRetry(addrA, NTPageSectors)
-	bufB, errB := v.readSectorsRetry(addrB, NTPageSectors)
 	v.cpu.Charge(2 * csumCost)
 	if ntCopyOK(bufA, errA) && ntCopyOK(bufB, errB) && bytes.Equal(bufA, bufB) {
 		return
 	}
+	addrA, addrB := v.lay.ntPageAddrs(id)
 	c := v.cache
 	c.mu.Lock()
 	defer c.mu.Unlock()

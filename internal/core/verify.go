@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/btree"
 	"repro/internal/disk"
 	"repro/internal/parscan"
 	"repro/internal/sim"
@@ -59,7 +60,9 @@ type vEntry struct {
 // The scan is parallel (pFSCK-style) across Config.CheckWorkers:
 //
 //  1. Walk: snapshot every (key, entry) pair from the name table in key
-//     order — the only phase that needs the B-tree itself.
+//     order — the only phase that needs the B-tree itself. Cached pages
+//     are used as cached; every other page comes from one address-ordered,
+//     coalesced sweep of the home copies (newWalkPager).
 //  2. Check: a worker pool decodes entries and claims every data page
 //     into a striped owner table (lowest entry index wins a collision),
 //     then cross-checks runs against the metadata range, the owner
@@ -87,17 +90,29 @@ func (v *Volume) Verify() (_ VerifyStats, err error) {
 	if err := v.DrainIntents(); err != nil {
 		return st, err
 	}
-	start := v.clk.Now()
+	start := v.clk.Now() // the walk's sweep counts toward WalkElapsed
+	return v.verifyTable(v.newWalkPager(), start)
+}
+
+// verifyTable runs Verify's three phases over the name table as the pager p
+// presents it; start is when the pass began. The caller holds v.mu
+// exclusively.
+func (v *Volume) verifyTable(p btree.Pager, start time.Duration) (VerifyStats, error) {
+	var st VerifyStats
 	st.Workers = v.cfg.checkWorkers()
-	if err := v.nt.Check(); err != nil {
+	nt, err := btree.Open(p)
+	if err == nil {
+		err = nt.Check()
+	}
+	if err != nil {
 		return st, fmt.Errorf("core: name table structure: %w", err)
 	}
 
 	// Phase 1: snapshot the table in key order. Keys and values alias the
-	// cache's page buffers, so the snapshot copies them out; the pool then
-	// never touches the B-tree.
+	// page images, so the snapshot copies them out; the pool then never
+	// touches the B-tree.
 	var raw []vEntry
-	err = v.nt.Scan(nil, func(k, val []byte) bool {
+	err = nt.Scan(nil, func(k, val []byte) bool {
 		name, ver, ok := splitKey(k)
 		if !ok {
 			raw = append(raw, vEntry{bad: fmt.Sprintf("undecodable key % x", k)})

@@ -399,9 +399,13 @@ func (v *Volume) writeRoot(r rootPage) error {
 	return v.d.Sync()
 }
 
-func readRoot(d *disk.Disk) (rootPage, error) {
+// readRoot reads the volume root page: the primary copy, else the replica.
+// read is the caller's bounded-retry sector reader, so a transient fault on
+// one copy is retried in place instead of failing the mount, and the retries
+// are charged wherever the caller charges its other reads.
+func readRoot(read func(addr, n int) ([]byte, error)) (rootPage, error) {
 	for _, addr := range []int{0, 2} {
-		buf, err := d.ReadSectors(addr, 1)
+		buf, err := read(addr, 1)
 		if err != nil {
 			continue
 		}
@@ -410,6 +414,25 @@ func readRoot(d *disk.Disk) (rootPage, error) {
 		}
 	}
 	return rootPage{}, ErrRootLost
+}
+
+// earlyReader returns a bounded-retry sector reader for use before the
+// volume exists — the root page is read to learn the layout — and a charge
+// function that records each read's retries on the volume, once it does,
+// like every other recovery read.
+func earlyReader(d *disk.Disk, cfg Config) (read func(addr, n int) ([]byte, error), charge func(*Volume)) {
+	var outcomes []func(*Volume)
+	read = func(addr, n int) ([]byte, error) {
+		buf, retried, err := disk.ReadSectorsRetry(d, addr, n, cfg.readRetries())
+		outcomes = append(outcomes, func(v *Volume) { v.noteReadFault(retried, err) })
+		return buf, err
+	}
+	charge = func(v *Volume) {
+		for _, o := range outcomes {
+			o(v)
+		}
+	}
+	return read, charge
 }
 
 // Format initializes an FSD volume on d and returns it mounted. Everything
@@ -492,7 +515,8 @@ func Format(d *disk.Disk, cfg Config) (*Volume, error) {
 func mountWritable(d *disk.Disk, cfg Config) (*Volume, MountStats, error) {
 	var ms MountStats
 	start := d.Clock().Now()
-	root, err := readRoot(d)
+	readEarly, chargeEarly := earlyReader(d, cfg)
+	root, err := readRoot(readEarly)
 	if err != nil {
 		return nil, ms, err
 	}
@@ -511,6 +535,7 @@ func mountWritable(d *disk.Disk, cfg Config) (*Volume, MountStats, error) {
 	cfg.LogVAM = root.logVAM
 	v := newVolume(d, cfg, lay)
 	v.recovering.Store(true)
+	chargeEarly(v)
 	wasClean := root.clean
 	ms.CleanShutdown = wasClean
 
@@ -996,7 +1021,7 @@ func (v *Volume) Shutdown() error {
 	if err := v.vm.SaveWith(v.writeSectors, v.lay.vamBase); err != nil {
 		return err
 	}
-	root, err := readRoot(v.d)
+	root, err := readRoot(v.readSectorsRetry)
 	if err != nil {
 		return err
 	}
@@ -1074,7 +1099,9 @@ func (v *Volume) LogRegion() (base, size int) {
 // LogRegionOf reads a volume's root page and returns its log region without
 // mounting (cmd/logdump uses it on crashed images).
 func LogRegionOf(d *disk.Disk) (base, size int, err error) {
-	root, err := readRoot(d)
+	// No volume will exist to charge the root read's retries to.
+	readEarly, _ := earlyReader(d, Config{})
+	root, err := readRoot(readEarly)
 	if err != nil {
 		return 0, 0, err
 	}
