@@ -62,14 +62,16 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 	lastPage := int((end - 1) / disk.SectorSize)
 	span := lastPage - firstPage + 1
 	buf := make([]byte, span*disk.SectorSize)
-	// Read-modify-write only the partial edge pages that hold live data.
+	// Read-modify-write only the partial edge pages that hold live data. A
+	// failed read writes nothing: zeros would overwrite the live bytes.
 	headPartial := off%disk.SectorSize != 0
 	tailPartial := end%disk.SectorSize != 0
 	if headPartial || (tailPartial && int64(lastPage)*disk.SectorSize < f.Size()) {
 		old, err := f.ReadPages(firstPage, span)
-		if err == nil {
-			copy(buf, old)
+		if err != nil {
+			return 0, err
 		}
+		copy(buf, old)
 	}
 	copy(buf[off-int64(firstPage)*disk.SectorSize:], p)
 	if err := f.WritePages(firstPage, buf); err != nil {

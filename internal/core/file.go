@@ -537,11 +537,12 @@ func (f *File) ReadPages(page, n int) (_ []byte, err error) {
 		leaderAddr, _ := f.e.LeaderAddr()
 		if !f.leaderVerified && cur == page && addr == leaderAddr+1 {
 			// Piggyback the leader read on the first data access.
+			pending := f.pendingLeader()
 			buf, err := v.readSectorsRetry(addr-1, cnt+1)
 			if err != nil {
 				return nil, err
 			}
-			if lerr := f.verifyLeaderBuf(buf[:disk.SectorSize]); lerr != nil {
+			if lerr := f.verifyLeaderBuf(buf[:disk.SectorSize], pending); lerr != nil {
 				return nil, lerr
 			}
 			out = append(out, buf[disk.SectorSize:]...)
@@ -620,11 +621,12 @@ func (f *File) readPagesCached(page, n int) ([]byte, error) {
 		var buf []byte
 		if needLeader {
 			// Piggyback the leader read on the first data access.
+			pending := f.pendingLeader()
 			raw, err := v.readSectorsRetry(addr-1, fetch+1)
 			if err != nil {
 				return nil, err
 			}
-			if lerr := f.verifyLeaderBuf(raw[:disk.SectorSize]); lerr != nil {
+			if lerr := f.verifyLeaderBuf(raw[:disk.SectorSize], pending); lerr != nil {
 				return nil, lerr
 			}
 			buf = raw[disk.SectorSize:]
@@ -652,16 +654,25 @@ func (f *File) readPagesCached(page, n int) ([]byte, error) {
 	return out, nil
 }
 
-// verifyLeaderBuf checks a freshly read leader page; the caller holds the
-// monitor (either mode) and f.mu. A pending (not yet home-written) leader
-// is verified from memory instead.
-func (f *File) verifyLeaderBuf(buf []byte) error {
+// pendingLeader returns the in-memory image of f's leader if it is not home
+// yet, or nil. Readers take it before reading the leader sector: a
+// third-crossing flush can write the image home and drop it from the map
+// between the read and the check, and the platter image the reader holds
+// is then the pre-flush one. The caller holds the monitor (either mode)
+// and f.mu.
+func (f *File) pendingLeader() []byte {
 	addr, _ := f.e.LeaderAddr()
 	f.v.lmu.Lock()
-	if pending, ok := f.v.pendingLeaders[addr]; ok {
+	defer f.v.lmu.Unlock()
+	return f.v.pendingLeaders[addr]
+}
+
+// verifyLeaderBuf checks a freshly read leader page, or instead pending,
+// the in-memory image pendingLeader returned before that read, if any.
+func (f *File) verifyLeaderBuf(buf, pending []byte) error {
+	if pending != nil {
 		buf = pending
 	}
-	f.v.lmu.Unlock()
 	if err := verifyLeader(buf, &f.e); err != nil {
 		return err
 	}

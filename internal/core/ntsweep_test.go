@@ -91,7 +91,7 @@ func countNTReads(v *Volume, d *disk.Disk, fn func()) (readsA, readsB int) {
 func verifyThroughCache(v *Volume) (VerifyStats, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.verifyTable(v.cache, v.clk.Now())
+	return v.verifyTable(v.cache, v.clk.Now(), disk.ReadScattered)
 }
 
 // checkSweptVerify runs Verify and asserts it matches the reference walk

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/disk"
 	"repro/internal/parscan"
+	"repro/internal/sim"
 )
 
 // The online scrubber: the active half of the paper's cheap-redundancy
@@ -116,17 +117,27 @@ func (v *Volume) readSectorsRetry(addr, n int) ([]byte, error) {
 	var de *disk.DamagedError
 	retried := 0
 	for tries := 0; err != nil && errors.As(err, &de) && tries < v.cfg.readRetries(); tries++ {
-		v.faults.retries.Add(1)
 		retried++
 		buf, err = v.d.ReadSectors(addr, n)
-		if err == nil {
-			v.faults.retriedOK.Add(1)
-		}
 	}
-	if retried > 0 && v.recovering.Load() {
+	v.noteReadRetries(retried, err)
+	return buf, err
+}
+
+// noteReadRetries accounts one read's retries the way readSectorsRetry
+// does: counted, the read counted as retried-OK if it then succeeded, and
+// charged to the error budget only inside the mount recovery window.
+func (v *Volume) noteReadRetries(retried int, err error) {
+	if retried == 0 {
+		return
+	}
+	v.faults.retries.Add(int64(retried))
+	if err == nil {
+		v.faults.retriedOK.Add(1)
+	}
+	if v.recovering.Load() {
 		v.chargeBudget(int64(retried)*weightRetry, "recovery read retries")
 	}
-	return buf, err
 }
 
 // repairSectors rewrites sectors from a known-good image, retiring to a
@@ -160,8 +171,8 @@ func (v *Volume) repairSectors(addr int, data []byte, st *ScrubStats) error {
 
 // Scrub runs one full scrub pass online: operations continue while it runs
 // (the name-table pass serializes only against home writes of the page in
-// hand, the leader pass shares the monitor). Concurrent Scrub calls
-// serialize behind scrubMu.
+// hand, the leader pass shares the monitor to snapshot and to repair).
+// Concurrent Scrub calls serialize behind scrubMu.
 func (v *Volume) Scrub() (_ ScrubStats, err error) {
 	defer v.span("scrub")(&err)
 	v.scrubMu.Lock()
@@ -336,56 +347,74 @@ func (v *Volume) scrubNTPage(id uint32, bufA []byte, errA error, bufB []byte, er
 
 // scrubLeaders verifies every file's leader page against its name-table
 // entry and rebuilds decayed, rotten, or stale leaders from the entry (the
-// name table is authoritative: doubly stored and logged). The snapshot pass
-// shares the monitor; each leader is then checked and, if need be, repaired
-// under a fresh shared hold, so Create/Delete (exclusive holders) never
-// race a repair.
+// name table is authoritative: doubly stored and logged). The snapshot of
+// (entry, leader address) pairs shares the monitor; the optimistic first
+// read is one drive-order batch (disk.ReadScattered) outside it. A leader
+// that fails to read or to match its snapshot is re-examined, and repaired
+// if need be, under a fresh shared hold by scrubLeader, so Create/Delete
+// (exclusive holders) never race a repair. Repairs run in key order, so
+// the report is deterministic.
 func (v *Volume) scrubLeaders(st *ScrubStats) error {
 	type lref struct {
 		name string
 		ver  uint32
+		e    *Entry
 	}
 	var refs []lref
+	var addrs []int
 	unlock := v.rlock()
-	err := v.nt.Scan(nil, func(k, _ []byte) bool {
+	err := v.nt.Scan(nil, func(k, val []byte) bool {
 		name, ver, ok := splitKey(k)
 		if !ok {
 			return true
 		}
-		refs = append(refs, lref{name, ver})
+		e, derr := decodeEntry(name, ver, append([]byte(nil), val...))
+		if derr != nil {
+			return true
+		}
+		addr, has := e.LeaderAddr()
+		if !has {
+			return true
+		}
+		v.lmu.Lock()
+		_, pending := v.pendingLeaders[addr]
+		v.lmu.Unlock()
+		if pending {
+			return true // not home yet; verified from memory on access
+		}
+		refs = append(refs, lref{name, ver, e})
+		addrs = append(addrs, addr)
 		return true
 	})
 	unlock()
 	if err != nil {
 		return err
 	}
-	// The leader walk joins the NT fanout on the same pool: chunks of
-	// refs pulled by stealing workers, per-chunk stats merged in chunk
-	// order so repairs and problems report deterministically.
-	const chunkRefs = 32
-	chunks := (len(refs) + chunkRefs - 1) / chunkRefs
-	parts := make([]ScrubStats, chunks)
-	_, perr := parscan.Run(v.cfg.scrubWorkers(), chunks, func(_ *parscan.Worker, c int) error {
-		lo, hi := c*chunkRefs, (c+1)*chunkRefs
-		if hi > len(refs) {
-			hi = len(refs)
-		}
-		for _, ref := range refs[lo:hi] {
-			if v.closed.Load() {
-				return nil
-			}
-			if err := v.scrubLeader(ref.name, ref.ver, &parts[c]); err != nil {
-				return err
-			}
-		}
-		return nil
+	v.cpu.Charge(time.Duration(len(refs)) * sim.CostBTreeOp / 4)
+	suspect := make([]bool, len(refs))
+	disk.ReadScattered(v.d, addrs, v.cfg.readRetries(), func(j int, buf []byte, retried int, rerr error) {
+		v.noteReadRetries(retried, rerr)
+		st.LeadersChecked++
+		st.SectorsChecked++
+		v.cpu.Charge(csumCost)
+		suspect[j] = rerr != nil || verifyLeader(buf, refs[j].e) != nil
 	})
-	for i := range parts {
-		st.merge(parts[i])
+	for j, ref := range refs {
+		if !suspect[j] {
+			continue
+		}
+		if v.closed.Load() {
+			return nil
+		}
+		if err := v.scrubLeader(ref.name, ref.ver, st); err != nil {
+			return err
+		}
 	}
-	return perr
+	return nil
 }
 
+// scrubLeader re-examines one leader the optimistic read flagged: re-stat,
+// re-read and, if it is still bad against the current entry, rewrite it.
 func (v *Volume) scrubLeader(name string, ver uint32, st *ScrubStats) error {
 	unlock := v.rlock()
 	defer unlock()
@@ -403,12 +432,10 @@ func (v *Volume) scrubLeader(name string, ver uint32, st *ScrubStats) error {
 	if pending {
 		return nil // not home yet; verified from memory on access
 	}
-	st.LeadersChecked++
-	st.SectorsChecked++
 	buf, rerr := v.readSectorsRetry(addr, 1)
 	v.cpu.Charge(csumCost)
 	if rerr == nil && verifyLeader(buf, e) == nil {
-		return nil
+		return nil // changed since the snapshot; consistent now
 	}
 	if err := v.repairSectors(addr, encodeLeader(e), st); err != nil {
 		return err

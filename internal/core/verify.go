@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/btree"
@@ -67,10 +66,12 @@ type vEntry struct {
 //     into a striped owner table (lowest entry index wins a collision),
 //     then cross-checks runs against the metadata range, the owner
 //     table, and the VAM, and byte sizes against page counts.
-//  3. Leaders: a single driver reads every home leader page in ascending
-//     disk order — one sequential sweep instead of per-worker seek
-//     thrash, and media faults charge the health budget exactly once —
-//     and the pool checks the images against their entries.
+//  3. Leaders: a single driver reads every home leader page in drive
+//     order (disk.ReadScattered: cylinders ascending, shortest
+//     positioning time first inside each) — no per-worker seek thrash,
+//     no revolution per track, and media faults charge the health budget
+//     exactly once — and the pool checks the images against their
+//     entries.
 //
 // Problems are accumulated per entry and emitted grouped by entry in key
 // order, so the report is byte-identical at every worker count.
@@ -91,13 +92,17 @@ func (v *Volume) Verify() (_ VerifyStats, err error) {
 		return st, err
 	}
 	start := v.clk.Now() // the walk's sweep counts toward WalkElapsed
-	return v.verifyTable(v.newWalkPager(), start)
+	return v.verifyTable(v.newWalkPager(), start, disk.ReadScattered)
 }
 
+// sectorBatchReader reads one sector at each address with per-sector
+// retries, calling fn once per address index (disk.ReadScattered's shape).
+type sectorBatchReader func(d *disk.Disk, addrs []int, retries int, fn func(i int, data []byte, retried int, err error))
+
 // verifyTable runs Verify's three phases over the name table as the pager p
-// presents it; start is when the pass began. The caller holds v.mu
-// exclusively.
-func (v *Volume) verifyTable(p btree.Pager, start time.Duration) (VerifyStats, error) {
+// presents it, reading the home leaders with read; start is when the pass
+// began. The caller holds v.mu exclusively.
+func (v *Volume) verifyTable(p btree.Pager, start time.Duration, read sectorBatchReader) (VerifyStats, error) {
 	var st VerifyStats
 	st.Workers = v.cfg.checkWorkers()
 	nt, err := btree.Open(p)
@@ -273,27 +278,31 @@ func (v *Volume) verifyTable(p btree.Pager, start time.Duration) (VerifyStats, e
 	st.CheckElapsed = v.clk.Now() - checkStart
 
 	// Phase 3: the leader sweep. A single driver reads every home leader
-	// in ascending address order — the head moves once across the disk,
-	// and a damaged sector's retries charge the health budget exactly once
-	// however many workers are checking — then the pool verifies the
-	// images against their entries.
+	// in drive order — cylinders ascending, the nearest sector next inside
+	// each, so the head crosses the disk once without waiting a revolution
+	// per track, and a damaged sector's retries charge the health budget
+	// exactly once however many workers are checking — then the pool
+	// verifies the images against their entries. Refs stay in entry order
+	// and problems in per-entry slots, so the read order never shows.
 	leaderStart := v.clk.Now()
 	var refs []leaderRef
 	for _, lr := range leaderRefs {
 		refs = append(refs, lr...)
 	}
-	sort.Slice(refs, func(a, b int) bool { return refs[a].addr < refs[b].addr })
-	bufs := make([][]byte, len(refs))
+	addrs := make([]int, len(refs))
 	for j, ref := range refs {
-		buf, retried, rerr := disk.ReadSectorsRetry(v.d, ref.addr, 1, v.cfg.readRetries())
+		addrs[j] = ref.addr
+	}
+	bufs := make([][]byte, len(refs))
+	read(v.d, addrs, v.cfg.readRetries(), func(j int, buf []byte, retried int, rerr error) {
 		v.noteReadFault(retried, rerr)
 		if rerr != nil {
-			ve := raw[ref.idx]
-			probs[ref.idx] = append(probs[ref.idx], fmt.Sprintf("%s!%d: leader unreadable: %v", ve.name, ve.ver, rerr))
-			continue
+			ve := raw[refs[j].idx]
+			probs[refs[j].idx] = append(probs[refs[j].idx], fmt.Sprintf("%s!%d: leader unreadable: %v", ve.name, ve.ver, rerr))
+			return
 		}
 		bufs[j] = buf
-	}
+	})
 	leaderChunks := (len(refs) + verifyChunk - 1) / verifyChunk
 	leaderStats, _ := parscan.Run(st.Workers, leaderChunks, func(w *parscan.Worker, c int) error {
 		lo := c * verifyChunk

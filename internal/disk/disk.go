@@ -412,9 +412,8 @@ func (d *Disk) checkRange(addr, n int) error {
 	return nil
 }
 
-// motion charges seek and rotational time to position the head at addr,
-// assuming the previous sector transferred (if any) ended at prevEnd.
-// It must be called with d.mu held. It returns the per-sector transfer time.
+// motion charges seek and rotational time to position the head at addr.
+// It must be called with d.mu held.
 func (d *Disk) motion(addr int) {
 	cyl := d.geom.Cylinder(addr)
 	dist := cyl - d.curCyl
@@ -433,22 +432,7 @@ func (d *Disk) motion(addr int) {
 		d.curCyl = cyl
 	}
 	// Rotational wait until the target slot is under the head.
-	secT := d.par.SectorTime(d.geom)
-	rev := d.par.Revolution()
-	now := d.clk.Now()
-	pos := now % rev // angular position expressed as time into the revolution
-	target := time.Duration(d.geom.RotationalSlot(addr)) * secT
-	wait := target - pos
-	if wait < 0 {
-		wait += rev
-	}
-	if wait > 0 {
-		d.cnt.rotTime.Add(int64(wait))
-		if wait >= rev*3/4 {
-			d.cnt.lostRevs.Add(1)
-		}
-		d.clk.Advance(wait)
-	}
+	d.realign(addr)
 }
 
 // transferOne charges the transfer time of one sector and advances the arm
@@ -481,22 +465,34 @@ func (d *Disk) transferOne(addr int) {
 
 // realign waits for the rotational slot of addr. Must hold d.mu.
 func (d *Disk) realign(addr int) {
-	secT := d.par.SectorTime(d.geom)
-	rev := d.par.Revolution()
-	now := d.clk.Now()
-	pos := now % rev
-	target := time.Duration(d.geom.RotationalSlot(addr)) * secT
-	wait := target - pos
-	if wait < 0 {
-		wait += rev
-	}
-	if wait > 0 {
+	if wait := d.rotWait(addr, d.clk.Now()); wait > 0 {
+		rev := d.par.Revolution()
 		d.cnt.rotTime.Add(int64(wait))
 		if wait >= rev*3/4 {
 			d.cnt.lostRevs.Add(1)
 		}
 		d.clk.Advance(wait)
 	}
+}
+
+// rotWait returns how long the head, at simulated time now, waits for the
+// rotational slot of addr to come under it.
+func (d *Disk) rotWait(addr int, now time.Duration) time.Duration {
+	rev := d.par.Revolution()
+	pos := now % rev // angular position expressed as time into the revolution
+	wait := time.Duration(d.geom.RotationalSlot(addr))*d.par.SectorTime(d.geom) - pos
+	if wait < 0 {
+		wait += rev
+	}
+	return wait
+}
+
+// positioning returns the seek plus rotational wait a request starting at
+// addr would spend now, from the head's current cylinder and angle — what
+// motion would charge. Must hold d.mu.
+func (d *Disk) positioning(addr int) time.Duration {
+	seek := d.par.SeekTime(d.geom.Cylinder(addr) - d.curCyl)
+	return seek + d.rotWait(addr, d.clk.Now()+seek)
 }
 
 // beginOp performs common bookkeeping. Must hold d.mu.

@@ -1,6 +1,7 @@
 package disk
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -94,5 +95,47 @@ func TestStatsConcurrentHammer(t *testing.T) {
 	}
 	if st.SectorsRead != workers*perWorker || st.SectorsWritten != workers*perWorker {
 		t.Fatalf("Sectors = %d/%d, want %d each", st.SectorsRead, st.SectorsWritten, workers*perWorker)
+	}
+}
+
+// TestReadScatteredConcurrentWriters runs the drive-order reader while other
+// goroutines write elsewhere on the disk: the reader samples the head under
+// the device lock, so `go test -race` checks that sampling, and every
+// address is still read exactly once with its own data.
+func TestReadScatteredConcurrentWriters(t *testing.T) {
+	d, err := New(SmallGeometry, DefaultParams, sim.NewVirtualClock())
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := scatterAddrs(t, d, 3, 200, 4)
+	perCyl := SmallGeometry.SectorsPerTrack * SmallGeometry.TracksPerCylinder
+	var wg sync.WaitGroup
+	for w := 0; w < 3; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, SectorSize)
+			for i := 0; i < 100; i++ {
+				// Cylinders 10 and up: away from the scattered sectors.
+				if err := d.WriteSectors((10+w*5)*perCyl+i, buf); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	calls := make([]int, len(addrs))
+	ReadScattered(d, addrs, 2, func(i int, data []byte, _ int, err error) {
+		calls[i]++
+		if err != nil || !bytes.Equal(data, sectorImage(addrs[i])) {
+			t.Errorf("addr %d: %v", addrs[i], err)
+		}
+	})
+	wg.Wait()
+	for i, n := range calls {
+		if n != 1 {
+			t.Fatalf("index %d called %d times", i, n)
+		}
 	}
 }

@@ -21,8 +21,11 @@ go vet ./...
 go build ./...
 go test ./...
 go test -race ./internal/core ./internal/wal ./internal/disk ./internal/bufcache ./internal/intentq ./internal/crashtest ./internal/server ./internal/wire ./client
-go test ./internal/core -count=1 -run 'TestCrashPointSweep|TestTornLogForceSweep|TestScrubRepairsLatentDecay|TestSalvageAfterDoubleNameTableLoss|TestNTHomeSweep|TestHomeWriteOrderDeterministic|TestTornHomeRunRecovers|TestVerifySweepMatchesCacheWalk|TestScrubSweep|TestMountRetriesRootRead'
-go test -race ./internal/core -count=1 -run 'TestScrubConcurrentWithReaders|TestVerifySweepMatchesCacheWalk|TestScrubSweep'
+go test ./internal/core -count=1 -run 'TestCrashPointSweep|TestTornLogForceSweep|TestScrubRepairsLatentDecay|TestSalvageAfterDoubleNameTableLoss|TestNTHomeSweep|TestHomeWriteOrderDeterministic|TestTornHomeRunRecovers|TestVerifySweepMatchesCacheWalk|TestScrubSweep|TestMountRetriesRootRead|TestVerifyLeaderOrderMatchesAscending|TestScrubLeaderPassRepairs|TestLeaderReadSeesPendingSnapshot|TestWriteAtFailedReadWritesNothing'
+go test -race ./internal/core -count=1 -run 'TestScrubConcurrentWithReaders|TestVerifySweepMatchesCacheWalk|TestScrubSweep|TestScrubLeaderPassRepairs|TestLeaderReadSeesPendingSnapshot'
+# The drive-order sector reader (disk.ReadScattered) under the race
+# detector: its head sampling against concurrent writers, and its contract.
+go test -race ./internal/disk -count=1 -run 'TestReadScattered'
 # Flake guard: the composed-fault remount draws a fresh fault seed per run,
 # so many runs sample many fault patterns (a failure prints its seed).
 go test ./internal/core -count=200 -run TestMountUnderComposedFaults
